@@ -552,8 +552,8 @@ func parseKill(s string) (task string, attempt int, err error) {
 // generating a scaled solver graph when scale > 0,
 // reporting per-request latency, the schedule shape and the simulated
 // makespan. With traceOut set, planner activity (per-layer g-search
-// spans, cache hit instants, cost-model memo counters) is exported as a
-// Chrome trace.
+// spans, cache hit instants and cache counters) is exported as a Chrome
+// trace.
 func runPlan(solver string, scale, cores, n, steps int, strategy string, parallel, repeat int, nocache bool, timeout time.Duration, traceOut string) error {
 	var g *graph.Graph
 	var err error

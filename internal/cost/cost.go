@@ -41,7 +41,8 @@ type Model struct {
 	// rank; 0 means all cores of a node. Ignored unless Hybrid is set.
 	ThreadsPerRank int
 
-	// memo, when non-nil, caches the model's evaluations; see WithMemo.
+	// memo, when non-nil, caches the model's physical evaluations; see
+	// WithMemo.
 	memo *memoTable
 }
 
@@ -450,7 +451,15 @@ func maxCoresPerNode(cores []arch.CoreID) int {
 func (m *Model) TaskTime(t *graph.Task, cores []arch.CoreID) float64 {
 	var key taskKey
 	if m.memo != nil {
-		key = taskKey{symb: taskSymbKey(t, 0), cores: hashCores(fnvOffset, cores)}
+		key = taskKey{
+			work:       t.Work,
+			commBytes:  t.CommBytes,
+			commCount:  t.CommCount,
+			bcastBytes: t.BcastBytes,
+			bcastCount: t.BcastCount,
+			maxWidth:   t.MaxWidth,
+			cores:      hashCores(fnvOffset, cores),
+		}
 		if v, ok := m.memo.taskGet(key); ok {
 			return v
 		}
@@ -491,21 +500,10 @@ func (m *Model) taskTimeUncached(t *graph.Task, cores []arch.CoreID) float64 {
 // of the task on p symbolic cores under the default mapping pattern dmp,
 // which charges the slowest interconnect of the architecture for every
 // communication hop. It is an upper bound of the physical execution time
-// and is what the scheduling algorithm optimises before mapping.
+// and is what the scheduling algorithm optimises before mapping. It is
+// cheaper than a memo lookup, so it is evaluated directly even on a
+// memoized model.
 func (m *Model) SymbolicTaskTime(t *graph.Task, p int) float64 {
-	if m.memo == nil {
-		return m.symbolicTaskTimeUncached(t, p)
-	}
-	key := taskSymbKey(t, p)
-	if v, ok := m.memo.symbGet(key); ok {
-		return v
-	}
-	v := m.symbolicTaskTimeUncached(t, p)
-	m.memo.symbPut(key, v)
-	return v
-}
-
-func (m *Model) symbolicTaskTimeUncached(t *graph.Task, p int) float64 {
 	if p < 1 {
 		return math.Inf(1)
 	}

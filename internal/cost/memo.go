@@ -2,16 +2,16 @@ package cost
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"mtask/internal/arch"
-	"mtask/internal/graph"
 )
 
 // This file implements the optional thread-safe memoization of the model's
-// hot evaluations: the symbolic task times Tsymb(M, p) driving the
-// group-count search, the physical task times T(M, q, mp), the concurrent
-// collective timings (Tcomm) and the re-distribution costs (TRe).
+// physical evaluations: the task times T(M, q, mp), the concurrent
+// collective timings (Tcomm) and the re-distribution costs (TRe). These are
+// what the cluster simulator and the Gantt renderer evaluate over and over
+// for the same groups. The symbolic times Tsymb(M, p) of the group-count
+// search are a handful of arithmetic operations and are never memoized.
 //
 // Keys are derived from the *values* a result depends on, never from task
 // identity: two tasks with equal cost-relevant fields share one entry, so
@@ -22,21 +22,14 @@ import (
 // ThreadsPerRank, Machine) before enabling the memo; reconfiguring a
 // memoized model is not supported.
 
-// symbKey identifies a SymbolicTaskTime evaluation by the task fields the
-// result depends on plus the symbolic core count p.
-type symbKey struct {
+// taskKey identifies a TaskTime evaluation by the task fields the result
+// depends on plus an order-sensitive hash of the core list.
+type taskKey struct {
 	work                   float64
 	commBytes, commCount   int
 	bcastBytes, bcastCount int
 	maxWidth               int
-	p                      int
-}
-
-// taskKey identifies a physical TaskTime evaluation: the symbolic fields
-// (p unused, zero) plus an order-sensitive hash of the core list.
-type taskKey struct {
-	symb  symbKey
-	cores uint64
+	cores                  uint64
 }
 
 // collKey identifies a collective evaluation over one or more core groups.
@@ -54,18 +47,14 @@ type redistKey struct {
 // memoTable is the shared, mutex-guarded store behind a memoized Model.
 type memoTable struct {
 	mu     sync.RWMutex
-	symb   map[symbKey]float64
 	task   map[taskKey]float64
 	gather map[collKey][]float64
 	bcast  map[collKey]float64
 	redist map[redistKey]float64
-
-	hits, misses atomic.Uint64
 }
 
 func newMemoTable() *memoTable {
 	return &memoTable{
-		symb:   make(map[symbKey]float64),
 		task:   make(map[taskKey]float64),
 		gather: make(map[collKey][]float64),
 		bcast:  make(map[collKey]float64),
@@ -84,30 +73,6 @@ func (m *Model) WithMemo() *Model {
 	c := *m
 	c.memo = newMemoTable()
 	return &c
-}
-
-// Memoized reports whether the model caches its evaluations.
-func (m *Model) Memoized() bool { return m.memo != nil }
-
-// MemoStats returns the accumulated hit and miss counts of the memo table
-// (both zero for a memo-free model).
-func (m *Model) MemoStats() (hits, misses uint64) {
-	if m.memo == nil {
-		return 0, 0
-	}
-	return m.memo.hits.Load(), m.memo.misses.Load()
-}
-
-func taskSymbKey(t *graph.Task, p int) symbKey {
-	return symbKey{
-		work:       t.Work,
-		commBytes:  t.CommBytes,
-		commCount:  t.CommCount,
-		bcastBytes: t.BcastBytes,
-		bcastCount: t.BcastCount,
-		maxWidth:   t.MaxWidth,
-		p:          p,
-	}
 }
 
 // --- FNV-1a hashing of core lists (order-sensitive: rank order matters
@@ -147,25 +112,10 @@ func hashGroups(groups [][]arch.CoreID) uint64 {
 
 // --- typed lookups; each returns (value, true) on a hit ---
 
-func (mt *memoTable) symbGet(k symbKey) (float64, bool) {
-	mt.mu.RLock()
-	v, ok := mt.symb[k]
-	mt.mu.RUnlock()
-	mt.count(ok)
-	return v, ok
-}
-
-func (mt *memoTable) symbPut(k symbKey, v float64) {
-	mt.mu.Lock()
-	mt.symb[k] = v
-	mt.mu.Unlock()
-}
-
 func (mt *memoTable) taskGet(k taskKey) (float64, bool) {
 	mt.mu.RLock()
 	v, ok := mt.task[k]
 	mt.mu.RUnlock()
-	mt.count(ok)
 	return v, ok
 }
 
@@ -179,7 +129,6 @@ func (mt *memoTable) gatherGet(k collKey) ([]float64, bool) {
 	mt.mu.RLock()
 	v, ok := mt.gather[k]
 	mt.mu.RUnlock()
-	mt.count(ok)
 	return v, ok
 }
 
@@ -193,7 +142,6 @@ func (mt *memoTable) bcastGet(k collKey) (float64, bool) {
 	mt.mu.RLock()
 	v, ok := mt.bcast[k]
 	mt.mu.RUnlock()
-	mt.count(ok)
 	return v, ok
 }
 
@@ -207,7 +155,6 @@ func (mt *memoTable) redistGet(k redistKey) (float64, bool) {
 	mt.mu.RLock()
 	v, ok := mt.redist[k]
 	mt.mu.RUnlock()
-	mt.count(ok)
 	return v, ok
 }
 
@@ -215,12 +162,4 @@ func (mt *memoTable) redistPut(k redistKey, v float64) {
 	mt.mu.Lock()
 	mt.redist[k] = v
 	mt.mu.Unlock()
-}
-
-func (mt *memoTable) count(hit bool) {
-	if hit {
-		mt.hits.Add(1)
-	} else {
-		mt.misses.Add(1)
-	}
 }

@@ -42,15 +42,15 @@ func simulatedMakespan(t *testing.T, mp *core.Mapping) float64 {
 // TestPlanMatchesSequentialOnSolverGraphs is the acceptance check of the
 // concurrent planner: on every solver workload of the evaluation and
 // several strategies, the parallel cache-backed plan must equal the
-// sequential, memo-free reference — same symbolic makespan, same layer
-// assignment, and the same simulated makespan.
+// sequential reference — same symbolic makespan, same layer assignment,
+// and the same simulated makespan.
 func TestPlanMatchesSequentialOnSolverGraphs(t *testing.T) {
 	machine := arch.CHiC().SubsetCores(64)
 	strategies := []core.Strategy{core.Consecutive{}, core.Scattered{}, core.Mixed{D: 2}}
 	for name, g := range solverWorkloads() {
 		for _, strat := range strategies {
 			seq, err := New().Plan(context.Background(), g, machine,
-				WithStrategy(strat), WithParallelism(1), WithoutCache(), WithoutMemo())
+				WithStrategy(strat), WithParallelism(1), WithoutCache())
 			if err != nil {
 				t.Fatalf("%s/%s sequential: %v", name, strat.Name(), err)
 			}
