@@ -25,8 +25,17 @@ func TestExecuteCtxFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Script entries match a task name and that task's own attempt
+	// number, so a script on "work" would strike all four work tasks. Give
+	// one of them its own name: the core loss then kills one group.
+	for _, task := range g.Tasks() {
+		if task.Name == "work" {
+			task.Name = "work.victim"
+			break
+		}
+	}
 	inj := &FaultInjector{Script: []FaultScript{
-		{Task: "work", Attempt: 1, Rank: 0, Kind: FaultCoreLoss},
+		{Task: "work.victim", Attempt: 1, Rank: 0, Kind: FaultCoreLoss},
 	}}
 	pol := DefaultFaultPolicy()
 	pol.BaseBackoff = 100 * time.Microsecond

@@ -4,9 +4,9 @@
 // how the executor reacts to task failures.
 //
 // The injector is purely functional: every decision is a hash of
-// (seed, task, attempt, rank), so a given seed reproduces exactly the same
-// fault pattern regardless of goroutine scheduling, worker count, or the
-// order in which tasks happen to run. Besides the probabilistic mode it
+// (seed, task name, task id, attempt, rank), so a given seed reproduces
+// exactly the same fault pattern regardless of goroutine scheduling,
+// worker count, or the order in which tasks happen to run. Besides the probabilistic mode it
 // supports a script mode ("fail task X on attempt N") used by the
 // degrade-and-replan acceptance tests, which must kill one specific core
 // group mid-run and nothing else.
@@ -95,9 +95,10 @@ type Script struct {
 // probabilities or script entries are set.
 //
 // Probabilities are evaluated per (task, attempt, rank) by hashing the
-// triple with the seed, so decisions are reproducible and independent of
-// execution order. Kinds are checked in severity order: core loss, panic,
-// error, delay.
+// task's name and id, the attempt and the rank with the seed, so
+// decisions are reproducible and independent of execution order, and
+// tasks that share a name (or have none) draw independently. Kinds are
+// checked in severity order: core loss, panic, error, delay.
 type Injector struct {
 	// Seed selects the reproducible fault pattern.
 	Seed int64
@@ -117,9 +118,10 @@ type Injector struct {
 // DefaultDelay is the stall duration of Delay faults when unset.
 const DefaultDelay = 10 * time.Millisecond
 
-// Decide returns the fault to inject into the given rank of the task's
-// attempt (attempts are 1-based), or nil for a clean execution.
-func (in *Injector) Decide(task string, attempt, rank int) *Fault {
+// Decide returns the fault to inject into the given rank of an attempt
+// (attempts are 1-based) of the task with the given name and source graph
+// id, or nil for a clean execution. Script entries match on the name.
+func (in *Injector) Decide(task string, id, attempt, rank int) *Fault {
 	if in == nil {
 		return nil
 	}
@@ -141,7 +143,7 @@ func (in *Injector) Decide(task string, attempt, rank int) *Fault {
 		{Error, in.PError, "error"},
 		{Delay, in.PDelay, "delay"},
 	} {
-		if pr.p > 0 && unit(in.Seed, pr.salt, task, attempt, rank) < pr.p {
+		if pr.p > 0 && unit(in.Seed, pr.salt, task, id, attempt, rank) < pr.p {
 			return in.fault(pr.kind, 0, task, attempt, rank)
 		}
 	}
@@ -170,10 +172,10 @@ func (in *Injector) fault(kind Kind, delay time.Duration, task string, attempt, 
 	return f
 }
 
-// unit hashes (seed, salt, task, attempt, rank) to a uniform float64 in
-// [0, 1). FNV-1a is ample for fault injection and keeps the package
+// unit hashes (seed, salt, task, vals...) to a uniform float64 in [0, 1).
+// FNV-1a is ample for fault injection and keeps the package
 // dependency-free.
-func unit(seed int64, salt, task string, attempt, rank int) float64 {
+func unit(seed int64, salt, task string, vals ...int) float64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(v uint64) {
@@ -187,8 +189,9 @@ func unit(seed int64, salt, task string, attempt, rank int) float64 {
 	h.Write([]byte{0})
 	h.Write([]byte(task))
 	h.Write([]byte{0})
-	put(uint64(attempt))
-	put(uint64(rank))
+	for _, v := range vals {
+		put(uint64(v))
+	}
 	const mantissa = 1 << 53
 	return float64(h.Sum64()>>11) / mantissa
 }

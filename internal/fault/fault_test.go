@@ -10,13 +10,13 @@ import (
 
 func TestInjectorNilAndZero(t *testing.T) {
 	var nilIn *Injector
-	if f := nilIn.Decide("t", 1, 0); f != nil {
+	if f := nilIn.Decide("t", 0, 1, 0); f != nil {
 		t.Fatalf("nil injector produced %v", f)
 	}
 	var zero Injector
 	for a := 1; a <= 5; a++ {
 		for r := 0; r < 4; r++ {
-			if f := zero.Decide("t", a, r); f != nil {
+			if f := zero.Decide("t", 0, a, r); f != nil {
 				t.Fatalf("zero injector produced %v", f)
 			}
 		}
@@ -31,13 +31,13 @@ func TestInjectorDeterminism(t *testing.T) {
 	for a := 1; a <= 20; a++ {
 		for r := 0; r < 8; r++ {
 			task := fmt.Sprintf("task%d", a%3)
-			f1, f2 := in1.Decide(task, a, r), in2.Decide(task, a, r)
+			f1, f2 := in1.Decide(task, a%3, a, r), in2.Decide(task, a%3, a, r)
 			switch {
 			case f1 == nil && f2 == nil:
 			case f1 == nil || f2 == nil || f1.Kind != f2.Kind:
 				t.Fatalf("same seed diverged at (%s,%d,%d): %v vs %v", task, a, r, f1, f2)
 			}
-			if f3 := other.Decide(task, a, r); (f1 == nil) != (f3 == nil) {
+			if f3 := other.Decide(task, a%3, a, r); (f1 == nil) != (f3 == nil) {
 				diff++
 			}
 		}
@@ -52,7 +52,7 @@ func TestInjectorRates(t *testing.T) {
 	hits := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
-		if f := in.Decide(fmt.Sprintf("t%d", i), 1, 0); f != nil {
+		if f := in.Decide(fmt.Sprintf("t%d", i), i, 1, 0); f != nil {
 			if f.Kind != Error {
 				t.Fatalf("unexpected kind %v", f.Kind)
 			}
@@ -68,6 +68,23 @@ func TestInjectorRates(t *testing.T) {
 	}
 }
 
+func TestInjectorDrawsPerTaskID(t *testing.T) {
+	// Tasks with no name (or a shared one) must draw independently: the
+	// task id is part of the hash, so one unnamed task's fault does not
+	// repeat on every other unnamed task.
+	in := &Injector{Seed: 5, PError: 0.5}
+	hits := 0
+	const n = 200
+	for id := 0; id < n; id++ {
+		if in.Decide("", id, 1, 0) != nil {
+			hits++
+		}
+	}
+	if hits == 0 || hits == n {
+		t.Fatalf("%d of %d unnamed tasks drew a fault: the draw ignores the task id", hits, n)
+	}
+}
+
 func TestInjectorScript(t *testing.T) {
 	in := &Injector{
 		Seed: 1,
@@ -77,28 +94,28 @@ func TestInjectorScript(t *testing.T) {
 			{Task: "slow", Attempt: 1, Rank: 0, Kind: Delay, Delay: 3 * time.Millisecond},
 		},
 	}
-	f := in.Decide("stage[2](1)", 1, 3)
+	f := in.Decide("stage[2](1)", 7, 1, 3)
 	if f == nil || f.Kind != CoreLoss {
 		t.Fatalf("scripted core loss missed: %v", f)
 	}
 	if !errors.Is(f.Err, ErrCoreLost) || !errors.Is(f.Err, ErrInjected) {
 		t.Fatalf("core loss error chain wrong: %v", f.Err)
 	}
-	if f := in.Decide("stage[2](1)", 2, 3); f != nil {
+	if f := in.Decide("stage[2](1)", 7, 2, 3); f != nil {
 		t.Fatalf("script fired on wrong attempt: %v", f)
 	}
-	if f := in.Decide("combine[0]", 2, 0); f != nil {
+	if f := in.Decide("combine[0]", 9, 2, 0); f != nil {
 		t.Fatalf("script fired on wrong rank: %v", f)
 	}
-	if f := in.Decide("combine[0]", 2, 1); f == nil || f.Kind != Panic {
+	if f := in.Decide("combine[0]", 9, 2, 1); f == nil || f.Kind != Panic {
 		t.Fatalf("scripted panic missed: %v", f)
 	}
-	if f := in.Decide("slow", 1, 0); f == nil || f.Kind != Delay || f.Delay != 3*time.Millisecond {
+	if f := in.Decide("slow", 3, 1, 0); f == nil || f.Kind != Delay || f.Delay != 3*time.Millisecond {
 		t.Fatalf("scripted delay wrong: %v", f)
 	}
 	// Default delay duration applies when the script leaves it zero.
 	in2 := &Injector{Script: []Script{{Task: "d", Attempt: 1, Rank: -1, Kind: Delay}}}
-	if f := in2.Decide("d", 1, 0); f == nil || f.Delay != DefaultDelay {
+	if f := in2.Decide("d", 0, 1, 0); f == nil || f.Delay != DefaultDelay {
 		t.Fatalf("default delay wrong: %v", f)
 	}
 }

@@ -110,24 +110,11 @@ func WithRecorder(rec *obs.Recorder) ExecOption {
 	return func(c *execConfig) { c.rec = rec }
 }
 
-// WithoutTimeline drops O(tasks) state from the Report so million-task
-// runs stay lean: successful attempts are folded into a busy core-time
-// accumulator instead of retained as TaskSpans (Timeline returns nothing;
-// Utilization and the report totals still work), and per-task attempt
-// histories are kept only for tasks that needed fault handling. Scripted
-// fault injection keyed on attempt numbers still behaves identically for
-// any task that fails at least once.
-//
-// Replan caveat: a task that never fails but is re-executed after a
-// degrade-and-replan (it completed past the completed-layer checkpoint,
-// then runs again from the resume point) has no retained history, so its
-// re-execution reports attempt number 1 again instead of 2 — remembering
-// otherwise would reintroduce the O(tasks) per-name state this option
-// exists to drop. A fault-injection script keyed on such a task's attempt
-// numbers (e.g. "task@1") therefore fires on both executions under
-// WithoutTimeline where the full report would fire once; scripts that
-// must count attempts across a replan for never-failed tasks need the
-// full report.
+// WithoutTimeline drops the per-task span store from the Report so
+// million-task runs keep O(tasks) state small: successful attempts are
+// folded into a busy core-time accumulator instead of retained as
+// TaskSpans (Timeline returns nothing; Utilization and the report totals
+// still work). Per-task attempt histories stay exact.
 func WithoutTimeline() ExecOption {
 	return func(c *execConfig) { c.noTimeline = true }
 }
@@ -170,14 +157,7 @@ func ExecuteCtx(ctx context.Context, w *World, sched *core.Schedule, body func(t
 	opts ...ExecOption) (*Report, error) {
 
 	cfg := newExecConfig(opts)
-	rep := NewReport()
-	if cfg.noTimeline {
-		rep.lean = true
-	}
-	if sched != nil {
-		rep.begin(sched.P)
-		rep.presizeSpans(sched.Source.Len())
-	}
+	rep := newReport(sched, cfg.noTimeline)
 	start := time.Now()
 	err := runLayered(ctx, w, sched, body, cfg, rep, func(rctx context.Context, survivors int) (*core.Schedule, error) {
 		if cfg.replan == nil {
@@ -202,12 +182,7 @@ func ExecuteHierarchicalCtx(ctx context.Context, w *World, hs *core.Hierarchical
 	opts ...ExecOption) (*Report, error) {
 
 	cfg := newExecConfig(opts)
-	rep := NewReport()
-	if cfg.noTimeline {
-		rep.lean = true
-	}
-	rep.begin(hs.Top.P)
-	rep.presizeSpans(hs.Top.Source.Len())
+	rep := newReport(hs.Top, cfg.noTimeline)
 
 	type hierState struct {
 		hs  *core.HierarchicalSchedule
@@ -457,7 +432,7 @@ func runScheduledTask(ctx context.Context, w *World, sched *core.Schedule, li in
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("runtime: task %q: %w", t.Name, err), false
 			}
-			attempt := rep.startAttempt(t.Name)
+			attempt := rep.startAttempt(src)
 			tstart := rep.since()
 			var aerr error
 			if coop != nil {
@@ -466,10 +441,10 @@ func runScheduledTask(ctx context.Context, w *World, sched *core.Schedule, li in
 				aerr = runAttempt(ctx, w, t, fn, attempt, li, gi, lo, hi, global, cfg, rep)
 			}
 			if aerr == nil {
-				rep.addSpan(t.Name, li, int(gi), hi-lo, tstart, rep.since())
+				rep.addSpan(src, li, int(gi), hi-lo, tstart, rep.since())
 				break
 			}
-			rep.failed(t.Name)
+			rep.failed(src)
 			cfg.rec.Instant("fail:"+t.Name, "fault", obs.ControlRank, cfg.rec.Now())
 			if ctx.Err() != nil {
 				// Layer timeout or caller cancellation: not a core
@@ -489,7 +464,7 @@ func runScheduledTask(ctx context.Context, w *World, sched *core.Schedule, li in
 				return fmt.Errorf("runtime: task %q failed after %d attempt(s): %w", t.Name, attempt, aerr), true
 			}
 			retries++
-			rep.retried(t.Name)
+			rep.retried(src)
 			cfg.rec.Instant("retry:"+t.Name, "fault", obs.ControlRank, cfg.rec.Now())
 			cfg.rec.Counter("fault.retries").Add(1)
 			if d := cfg.policy.Backoff(t.Name, retries); d > 0 {
@@ -607,7 +582,7 @@ func runRankAttempt(tc *TaskCtx, fn TaskFunc, attempt int, gsh *commShared, cfg 
 			gsh.abort(err) // release peers blocked in group collectives
 		}
 	}()
-	if f := cfg.injector.Decide(t.Name, attempt, r); f != nil {
+	if f := cfg.injector.Decide(t.Name, int(t.ID), attempt, r); f != nil {
 		switch f.Kind {
 		case fault.Delay:
 			timer := time.NewTimer(f.Delay)
@@ -653,7 +628,7 @@ func settleAttempt(t *graph.Task, rep *Report, errs []error, actx context.Contex
 		}
 		real = append(real, fmt.Errorf("rank %d: %w", r, err))
 	}
-	rep.addPanics(t.Name, panics)
+	rep.addPanics(t.ID, panics)
 	if len(real) > 0 {
 		return errors.Join(real...)
 	}

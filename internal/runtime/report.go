@@ -5,10 +5,15 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"mtask/internal/core"
+	"mtask/internal/graph"
 )
 
-// TaskReport records the fault-tolerance history of one task.
+// TaskReport records the fault-tolerance history of one task. Report.Task
+// returns the sum over every task sharing the requested name.
 type TaskReport struct {
 	Name     string
 	Attempts int // body executions (first try + retries, across replans)
@@ -22,11 +27,16 @@ type TaskReport struct {
 // escalations, lost cores and wall time. ExecuteCtx returns a Report even
 // when the execution fails. A Report must not be read until the executor
 // has returned.
+//
+// Per-task state lives in dense slices indexed by the source graph's
+// TaskIDs. Attempt counts and spans are written only by the goroutine
+// running that task's retry loop (passes and replans are ordered by
+// joins), so a successful attempt takes no lock and stores no pointer.
+// Task names are resolved only when the report is read.
 type Report struct {
+	// mu guards the exported totals and faults, which the failure,
+	// retry, panic and barrier paths update.
 	mu sync.Mutex
-
-	// Tasks holds the per-task histories keyed by task name.
-	Tasks map[string]*TaskReport
 
 	// Retries and Panics total the per-task counts.
 	Retries int
@@ -53,33 +63,52 @@ type Report struct {
 	// Wall is the wall-clock duration of the execution.
 	Wall time.Duration
 
-	// Spans records one entry per successful task attempt, in completion
-	// order; timestamps are offsets from the start of the execution. Use
-	// Timeline for a copy sorted by start time.
-	Spans []TaskSpan
-
 	// P is the symbolic core count of the initial schedule (the
 	// denominator of Utilization).
 	P int
 
-	// epoch is the wall-clock instant offsets are measured from.
+	// src is the executed source graph: attempts, faults and spans are
+	// indexed by its TaskIDs, and it resolves their names on read.
+	src *graph.Graph
+
+	// epoch is the wall-clock instant offsets are measured from. It is
+	// fixed before any worker starts, so since reads it without the lock.
 	epoch time.Time
 
-	// lean drops O(tasks) state for million-task runs (WithoutTimeline):
-	// successful attempts fold their core-time into busy instead of
-	// appending a TaskSpan, and Tasks entries are created only for tasks
-	// touched by fault handling.
-	lean bool
+	// attempts counts the attempts of each source task; faults holds
+	// their fault counters, allocated at the first failure.
+	attempts []int32
+	faults   []faultHist
 
-	// busy accumulates successful-attempt core-time in lean mode (the
-	// Utilization numerator normally recomputed from Spans).
-	busy time.Duration
+	// spans holds one slot per source task and pass (a pass ends at each
+	// degrade-and-replan, after which completed tasks may run again); an
+	// empty slot has zero cores. pass is the offset of the current pass's
+	// slots. spans is nil under WithoutTimeline.
+	spans []spanRecord
+	pass  int
+
+	// lean skips the span store (WithoutTimeline); successful attempts
+	// add their core-time to busy instead.
+	lean bool
+	busy atomic.Int64
+}
+
+// faultHist counts the faults of one source task.
+type faultHist struct {
+	retries, panics, failures int32
+}
+
+// spanRecord is the pointer-free stored form of a TaskSpan (32 bytes).
+type spanRecord struct {
+	id, layer, group, cores int32
+	start, end              time.Duration
 }
 
 // TaskSpan is the timeline entry of one successful task attempt: which
 // task ran where, and when. Start and End are offsets from the beginning
 // of the execution, so spans from one Report are directly comparable.
 type TaskSpan struct {
+	ID         graph.TaskID // source task id (names need not be unique)
 	Name       string
 	Layer      int
 	Group      int
@@ -90,85 +119,83 @@ type TaskSpan struct {
 // Duration returns the span's elapsed time.
 func (s TaskSpan) Duration() time.Duration { return s.End - s.Start }
 
-// NewReport returns an empty report.
-func NewReport() *Report {
-	return &Report{Tasks: make(map[string]*TaskReport)}
-}
-
-// task returns the entry for the named task, creating it if needed.
-// Callers must hold r.mu.
-func (r *Report) task(name string) *TaskReport {
-	tr := r.Tasks[name]
-	if tr == nil {
-		tr = &TaskReport{Name: name}
-		r.Tasks[name] = tr
-	}
-	return tr
-}
-
-// startAttempt records the start of an attempt and returns its 1-based
-// number, which is stable across retries and replans (the failure
-// injector's script mode keys on it). In lean mode the first attempt of
-// a never-failed task does not create a map entry — the entry appears
-// (with this attempt back-counted) only if the task fails, so attempt
-// numbering stays correct for every task that fails at least once. The
-// exception is a never-failed task re-executed after a degrade-and-replan
-// (it completed past the checkpoint, then runs again): with no retained
-// entry its re-execution reports 1 again where non-lean mode reports 2
-// — the documented WithoutTimeline replan caveat.
-func (r *Report) startAttempt(name string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.lean {
-		tr := r.Tasks[name]
-		if tr == nil {
-			return 1
+// newReport returns the report of an execution of sched (nil for an
+// execution that cannot start), with the epoch anchored now. Without
+// lean it reserves one span slot per source task.
+func newReport(sched *core.Schedule, lean bool) *Report {
+	r := &Report{lean: lean, epoch: time.Now()}
+	if sched != nil {
+		n := sched.Source.Len()
+		r.P, r.src, r.attempts = sched.P, sched.Source, make([]int32, n)
+		if !lean {
+			r.spans = make([]spanRecord, n)
 		}
-		tr.Attempts++
-		return tr.Attempts
 	}
-	tr := r.task(name)
-	tr.Attempts++
-	return tr.Attempts
+	return r
 }
 
-// failed records a failed attempt of the named task.
-func (r *Report) failed(name string) {
-	r.mu.Lock()
-	tr := r.task(name)
-	if r.lean && tr.Attempts == 0 {
-		tr.Attempts = 1 // the fast-pathed first attempt, counted on failure
+// startAttempt records the start of an attempt of source task id and
+// returns its 1-based number, which is stable across retries and replans
+// (the failure injector's script mode keys on it).
+func (r *Report) startAttempt(id graph.TaskID) int {
+	r.attempts[id]++
+	return int(r.attempts[id])
+}
+
+// faultsOf returns source task id's fault counters. Callers hold r.mu.
+func (r *Report) faultsOf(id graph.TaskID) *faultHist {
+	if r.faults == nil {
+		r.faults = make([]faultHist, len(r.attempts))
 	}
-	tr.Failures++
+	return &r.faults[id]
+}
+
+// faultsAt returns a copy of source task id's fault counters.
+func (r *Report) faultsAt(id graph.TaskID) faultHist {
+	if r.faults == nil {
+		return faultHist{}
+	}
+	return r.faults[id]
+}
+
+// failed records a failed attempt of source task id.
+func (r *Report) failed(id graph.TaskID) {
+	r.mu.Lock()
+	r.faultsOf(id).failures++
 	r.mu.Unlock()
 }
 
-// retried records that the named task is being retried.
-func (r *Report) retried(name string) {
+// retried records that source task id is being retried.
+func (r *Report) retried(id graph.TaskID) {
 	r.mu.Lock()
-	r.task(name).Retries++
+	r.faultsOf(id).retries++
 	r.Retries++
 	r.mu.Unlock()
 }
 
-// addPanics records n recovered panics in the named task's ranks.
-func (r *Report) addPanics(name string, n int) {
+// addPanics records n recovered panics in source task id's ranks.
+func (r *Report) addPanics(id graph.TaskID, n int) {
 	if n == 0 {
 		return
 	}
 	r.mu.Lock()
-	r.task(name).Panics += n
+	r.faultsOf(id).panics += int32(n)
 	r.Panics += n
 	r.mu.Unlock()
 }
 
 // replanned records a degrade-and-replan escalation; lostTotal is the
-// cumulative number of lost cores.
+// cumulative number of lost cores. The executor calls it between passes,
+// so it also opens the next pass's span slots.
 func (r *Report) replanned(lostTotal int) {
 	r.mu.Lock()
 	r.Replans++
 	r.LostCores = lostTotal
 	r.mu.Unlock()
+	if r.spans != nil {
+		r.pass = len(r.spans)
+		r.spans = append(r.spans, make([]spanRecord, len(r.attempts))...)
+	}
 }
 
 // resized records a voluntary resize applied at a layer barrier; delta is
@@ -191,64 +218,59 @@ func (r *Report) layerDone() {
 	r.mu.Unlock()
 }
 
-// begin anchors the report's timeline epoch and records the symbolic core
-// count; the executor calls it once before the first layer.
-func (r *Report) begin(p int) {
-	r.mu.Lock()
-	r.P = p
-	r.epoch = time.Now()
-	r.mu.Unlock()
-}
-
 // since returns the current offset from the timeline epoch.
-func (r *Report) since() time.Duration {
-	r.mu.Lock()
-	e := r.epoch
-	r.mu.Unlock()
-	if e.IsZero() {
-		return 0
-	}
-	return time.Since(e)
-}
+func (r *Report) since() time.Duration { return time.Since(r.epoch) }
 
-// addSpan records the timeline entry of a successful attempt (or, in
-// lean mode, just its core-time contribution).
-func (r *Report) addSpan(name string, layer, group, cores int, start, end time.Duration) {
-	r.mu.Lock()
+// addSpan records the timeline entry of a successful attempt of source
+// task id (or, under WithoutTimeline, just its core-time).
+func (r *Report) addSpan(id graph.TaskID, layer, group, cores int, start, end time.Duration) {
 	if r.lean {
-		r.busy += time.Duration(cores) * (end - start)
-	} else {
-		r.Spans = append(r.Spans, TaskSpan{Name: name, Layer: layer, Group: group, Cores: cores, Start: start, End: end})
+		r.busy.Add(int64(cores) * int64(end-start))
+		return
 	}
-	r.mu.Unlock()
+	r.spans[r.pass+int(id)] = spanRecord{
+		id: int32(id), layer: int32(layer), group: int32(group), cores: int32(cores),
+		start: start, end: end,
+	}
 }
 
-// presizeSpans reserves timeline capacity for n successful attempts, so
-// a large schedule's span retention does not pay repeated growth copies.
-// No-op in lean mode (no spans are retained).
-func (r *Report) presizeSpans(n int) {
-	r.mu.Lock()
-	if !r.lean && cap(r.Spans) < n {
-		r.Spans = make([]TaskSpan, len(r.Spans), n)
-	}
-	r.mu.Unlock()
-}
+// name resolves a source task id.
+func (r *Report) name(id graph.TaskID) string { return r.src.Task(id).Name }
 
-// Timeline returns a copy of the per-task spans sorted by start time
-// (ties by name). In layered mode the starts of a layer cluster behind the
-// previous layer's join; in wavefront mode a task starts as soon as its
-// dependences allow, which is where the idle-time win comes from.
+// Timeline returns the per-task spans sorted by start time (ties by
+// name, then id). In layered mode the starts of a layer cluster behind
+// the previous layer's join; in wavefront mode a task starts as soon as
+// its dependences allow, which is where the idle-time win comes from.
 func (r *Report) Timeline() []TaskSpan {
-	r.mu.Lock()
-	spans := append([]TaskSpan(nil), r.Spans...)
-	r.mu.Unlock()
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].Start != spans[j].Start {
-			return spans[i].Start < spans[j].Start
+	spans := make([]TaskSpan, 0, len(r.spans))
+	for _, s := range r.spans {
+		if s.cores == 0 {
+			continue
 		}
-		return spans[i].Name < spans[j].Name
+		id := graph.TaskID(s.id)
+		spans = append(spans, TaskSpan{ID: id, Name: r.name(id), Layer: int(s.layer), Group: int(s.group),
+			Cores: int(s.cores), Start: s.start, End: s.end})
+	}
+	sort.Slice(spans, func(i, j int) bool {
+		a, b := &spans[i], &spans[j]
+		if a.Start != b.Start {
+			return a.Start < b.Start
+		}
+		if a.Name != b.Name {
+			return a.Name < b.Name
+		}
+		return a.ID < b.ID
 	})
 	return spans
+}
+
+// busyTime is the core-time spent inside successful task attempts.
+func (r *Report) busyTime() time.Duration {
+	busy := time.Duration(r.busy.Load())
+	for _, s := range r.spans {
+		busy += time.Duration(s.cores) * (s.end - s.start)
+	}
+	return busy
 }
 
 // Utilization summarises the timeline: busy is the core-time spent inside
@@ -259,10 +281,7 @@ func (r *Report) Timeline() []TaskSpan {
 func (r *Report) Utilization() (busy, idle time.Duration, frac float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	busy = r.busy // lean-mode accumulator; zero when spans are retained
-	for _, s := range r.Spans {
-		busy += time.Duration(s.Cores) * (s.End - s.Start)
-	}
+	busy = r.busyTime()
 	total := time.Duration(r.P) * r.Wall
 	if total > busy {
 		idle = total - busy
@@ -273,15 +292,22 @@ func (r *Report) Utilization() (busy, idle time.Duration, frac float64) {
 	return busy, idle, frac
 }
 
-// Task returns a copy of the named task's history (zero value if the task
-// never ran).
+// Task returns the history of the named task, summed over every task
+// that carries the name (zero counts if none ran). Task names need not
+// be unique; unnamed tasks all answer to "".
 func (r *Report) Task(name string) TaskReport {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if tr := r.Tasks[name]; tr != nil {
-		return *tr
+	tr := TaskReport{Name: name}
+	for id, n := range r.attempts {
+		if n == 0 || r.name(graph.TaskID(id)) != name {
+			continue
+		}
+		f := r.faultsAt(graph.TaskID(id))
+		tr.Attempts += int(n)
+		tr.Retries += int(f.retries)
+		tr.Panics += int(f.panics)
+		tr.Failures += int(f.failures)
 	}
-	return TaskReport{Name: name}
+	return tr
 }
 
 // String renders the report: the totals line always, then one line per
@@ -289,24 +315,24 @@ func (r *Report) Task(name string) TaskReport {
 func (r *Report) String() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	ran := 0
+	var handled []graph.TaskID
+	for id, n := range r.attempts {
+		if n > 0 {
+			ran++
+		}
+		if n > 1 || r.faultsAt(graph.TaskID(id)).panics > 0 {
+			handled = append(handled, graph.TaskID(id))
+		}
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "execution report: %d tasks, %d layers done, %d retries, %d recovered panics, %d replans (%d cores lost), wall %v\n",
-		len(r.Tasks), r.Layers, r.Retries, r.Panics, r.Replans, r.LostCores, r.Wall.Round(time.Microsecond))
+		ran, r.Layers, r.Retries, r.Panics, r.Replans, r.LostCores, r.Wall.Round(time.Microsecond))
 	if r.Resizes > 0 {
 		fmt.Fprintf(&b, "  resizes: %d applied at layer barriers (+%d/-%d cores)\n",
 			r.Resizes, r.GrownCores, r.ShrunkCores)
 	}
-	if r.lean && r.Replans > 0 {
-		// The WithoutTimeline replan caveat, surfaced where operators read
-		// it: lean reports keep no history for never-failed tasks, so their
-		// re-execution after a replan restarts attempt numbering at 1.
-		b.WriteString("  note: lean report (WithoutTimeline) — never-failed tasks re-executed after a replan restart attempt numbering at 1; scripts keyed on attempt numbers across a replan need the full report\n")
-	}
-	if r.P > 0 && (len(r.Spans) > 0 || r.busy > 0) {
-		busy := r.busy
-		for _, s := range r.Spans {
-			busy += time.Duration(s.Cores) * (s.End - s.Start)
-		}
+	if busy := r.busyTime(); r.P > 0 && busy > 0 {
 		total := time.Duration(r.P) * r.Wall
 		idle := time.Duration(0)
 		if total > busy {
@@ -321,17 +347,16 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "  core-time: busy %v, idle %v of %v (%s)\n",
 			busy.Round(time.Microsecond), idle.Round(time.Microsecond), total.Round(time.Microsecond), util)
 	}
-	names := make([]string, 0, len(r.Tasks))
-	for name, tr := range r.Tasks {
-		if tr.Attempts > 1 || tr.Panics > 0 {
-			names = append(names, name)
+	sort.Slice(handled, func(i, j int) bool {
+		if a, b := r.name(handled[i]), r.name(handled[j]); a != b {
+			return a < b
 		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		tr := r.Tasks[name]
-		fmt.Fprintf(&b, "  %-24s attempts=%d retries=%d panics=%d failures=%d\n",
-			tr.Name, tr.Attempts, tr.Retries, tr.Panics, tr.Failures)
+		return handled[i] < handled[j]
+	})
+	for _, id := range handled {
+		f := r.faultsAt(id)
+		fmt.Fprintf(&b, "  %-24s id=%-6d attempts=%d retries=%d panics=%d failures=%d\n",
+			r.name(id), id, r.attempts[id], f.retries, f.panics, f.failures)
 	}
 	return b.String()
 }

@@ -153,19 +153,3 @@ func TestResizerErrorFailsExecution(t *testing.T) {
 		t.Fatalf("err = %v, want the resizer error", err)
 	}
 }
-
-func TestReportLeanReplanCaveatSurfaced(t *testing.T) {
-	// The WithoutTimeline attempt-numbering caveat must be readable in the
-	// rendered report, not only in godoc.
-	r := NewReport()
-	r.lean = true
-	r.Replans = 1
-	if s := r.String(); !strings.Contains(s, "lean report (WithoutTimeline)") {
-		t.Fatalf("lean replan report misses the caveat note:\n%s", s)
-	}
-	r2 := NewReport()
-	r2.Replans = 1
-	if s := r2.String(); strings.Contains(s, "lean report") {
-		t.Fatalf("full report must not carry the lean caveat:\n%s", s)
-	}
-}

@@ -132,8 +132,8 @@ func TestPropertyWavefrontMatchesLayered(t *testing.T) {
 			t.Fatalf("trial %d: layers done = %d (layered) / %d (wavefront), want %d",
 				trial, lrep.Layers, wrep.Layers, len(sched.Layers))
 		}
-		if len(wrep.Spans) != len(lrep.Spans) {
-			t.Fatalf("trial %d: %d wavefront spans, %d layered", trial, len(wrep.Spans), len(lrep.Spans))
+		if nw, nl := len(wrep.Timeline()), len(lrep.Timeline()); nw != nl {
+			t.Fatalf("trial %d: %d wavefront spans, %d layered", trial, nw, nl)
 		}
 	}
 }

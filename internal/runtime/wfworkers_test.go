@@ -3,9 +3,11 @@ package runtime
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -67,8 +69,8 @@ func TestPropertyWorkersMatchChannelDispatcher(t *testing.T) {
 			t.Fatalf("trial %d: layers done = %d (workers) / %d (channel), want %d",
 				trial, wrep.Layers, rrep.Layers, len(sched.Layers))
 		}
-		if len(wrep.Spans) != len(rrep.Spans) {
-			t.Fatalf("trial %d: %d worker spans, %d channel spans", trial, len(wrep.Spans), len(rrep.Spans))
+		if nw, nr := len(wrep.Timeline()), len(rrep.Timeline()); nw != nr {
+			t.Fatalf("trial %d: %d worker spans, %d channel spans", trial, nw, nr)
 		}
 	}
 }
@@ -319,15 +321,27 @@ func TestWavefrontDispatchAllocFree(t *testing.T) {
 	shared := func(tc *TaskCtx) error { return nil }
 	body := func(task *graph.Task) TaskFunc { return shared }
 
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := ExecuteCtx(context.Background(), w, sched, body, WithWavefront(), WithoutTimeline()); err != nil {
-			t.Fatal(err)
+	// The default report (spans and per-task histories kept) is held to
+	// the same gate as the lean one: its per-task state lives in slabs
+	// sized once per execution.
+	for _, report := range []struct {
+		name string
+		opts []ExecOption
+	}{
+		{"lean report", []ExecOption{WithWavefront(), WithoutTimeline()}},
+		{"default report", []ExecOption{WithWavefront()}},
+	} {
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := ExecuteCtx(context.Background(), w, sched, body, report.opts...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perTask := allocs / tasks
+		t.Logf("dispatch, %s: %.0f allocs per pass, %.4f per task (%d tasks)", report.name, allocs, perTask, tasks)
+		if perTask >= 0.5 {
+			t.Fatalf("dispatch with the %s allocates %.4f per task (%.0f per %d-task pass), want amortized-free",
+				report.name, perTask, allocs, tasks)
 		}
-	})
-	perTask := allocs / tasks
-	t.Logf("dispatch: %.0f allocs per pass, %.4f per task (%d tasks)", allocs, perTask, tasks)
-	if perTask >= 0.5 {
-		t.Fatalf("dispatch allocates %.4f per task (%.0f per %d-task pass), want amortized-free", perTask, allocs, tasks)
 	}
 }
 
@@ -362,11 +376,10 @@ func TestWavefrontPeakGoroutinesConstant(t *testing.T) {
 }
 
 func TestWithoutTimelineLeanReport(t *testing.T) {
-	// WithoutTimeline must drop the O(tasks) report state — no spans, no
-	// per-task entries for clean tasks — while keeping the totals, the
-	// busy core-time accumulator and the full history of every task that
-	// needed fault handling (scripted injection keys on attempt numbers,
-	// which must stay correct).
+	// WithoutTimeline must drop the span store while keeping the totals,
+	// the busy core-time accumulator and the exact history of every task
+	// (scripted injection keys on attempt numbers, which must stay
+	// correct).
 	sched := ImbalancedWorkload(2, 3)
 	body := ImbalancedBody(2*time.Millisecond, time.Millisecond)
 	pol := fault.DefaultPolicy()
@@ -389,13 +402,13 @@ func TestWithoutTimelineLeanReport(t *testing.T) {
 			t.Fatalf("%s: %v\n%s", mode, err, rep)
 		}
 		if mode == "timeline" {
-			if len(rep.Spans) != 6 {
-				t.Fatalf("timeline control retained %d spans, want 6", len(rep.Spans))
+			if n := len(rep.Timeline()); n != 6 {
+				t.Fatalf("timeline control retained %d spans, want 6", n)
 			}
 			continue
 		}
-		if len(rep.Spans) != 0 || len(rep.Timeline()) != 0 {
-			t.Fatalf("%s: lean report retained %d spans", mode, len(rep.Spans))
+		if n := len(rep.Timeline()); n != 0 {
+			t.Fatalf("%s: lean report retained %d spans", mode, n)
 		}
 		busy, _, frac := rep.Utilization()
 		if busy <= 0 || frac <= 0 {
@@ -404,14 +417,71 @@ func TestWithoutTimelineLeanReport(t *testing.T) {
 		if rep.Layers != 3 {
 			t.Fatalf("%s: layers done = %d, want 3\n%s", mode, rep.Layers, rep)
 		}
-		// Only the fault-touched task has a history entry, with the
-		// fast-pathed first attempt back-counted.
-		if len(rep.Tasks) != 1 {
-			t.Fatalf("%s: lean report holds %d task entries, want 1\n%s", mode, len(rep.Tasks), rep)
+		// Only the fault-touched task is listed as needing fault handling.
+		if n := strings.Count(rep.String(), "attempts="); n != 1 || !strings.Contains(rep.String(), "slow[1]") {
+			t.Fatalf("%s: report lists %d handled tasks, want only slow[1]\n%s", mode, n, rep)
 		}
 		tr := rep.Task("slow[1]")
 		if tr.Attempts != 2 || tr.Retries != 1 || tr.Failures != 1 {
 			t.Fatalf("%s: slow[1] history = %+v, want attempts 2, retries 1, failures 1", mode, tr)
+		}
+		if got := rep.Task("fast[1]").Attempts; got != 1 {
+			t.Fatalf("%s: clean task fast[1] reports %d attempts, want 1\n%s", mode, got, rep)
+		}
+	}
+
+	// A task that never failed but runs again after a degrade-and-replan
+	// counts that run as attempt 2, lean report or not: task a completes,
+	// then its sibling b loses its core, and the replan resumes from the
+	// start of their layer.
+	g := graph.New("replan-clean")
+	a, b := g.AddBasic("a", 1), g.AddBasic("b", 1)
+	c := g.AddBasic("c", 1)
+	g.MustEdge(a, c, 8)
+	g.MustEdge(b, c, 8)
+	two := &core.Schedule{P: 2, Source: g, Graph: g, Layers: []*core.LayerSchedule{
+		{Layer: graph.Layer{a, b}, Groups: [][]graph.TaskID{{a}, {b}}, Sizes: []int{1, 1}},
+		{Layer: graph.Layer{c}, Groups: [][]graph.TaskID{{c}}, Sizes: []int{2}},
+	}}
+	one := &core.Schedule{P: 1, Source: g, Graph: g, Layers: []*core.LayerSchedule{
+		{Layer: graph.Layer{a, b}, Groups: [][]graph.TaskID{{a, b}}, Sizes: []int{1}},
+		{Layer: graph.Layer{c}, Groups: [][]graph.TaskID{{c}}, Sizes: []int{1}},
+	}}
+	rpol := fault.DefaultPolicy()
+	rpol.DegradeAndReplan = true
+	replan := func(ctx context.Context, survivors int) (*core.Schedule, error) { return one, nil }
+	for mode, opts := range modes {
+		aDone := make(chan struct{})
+		var aOnce sync.Once
+		var bRuns atomic.Int32
+		body := func(task *graph.Task) TaskFunc {
+			return func(tc *TaskCtx) error {
+				switch task.ID {
+				case a:
+					aOnce.Do(func() { close(aDone) })
+				case b:
+					if bRuns.Add(1) == 1 {
+						<-aDone
+						return fmt.Errorf("b: %w", fault.ErrCoreLost)
+					}
+				}
+				return nil
+			}
+		}
+		w, _ := NewWorld(2)
+		rep, err := ExecuteCtx(context.Background(), w, two, body,
+			append([]ExecOption{WithPolicy(rpol), WithReplanner(replan)}, opts...)...)
+		if err != nil {
+			t.Fatalf("%s replan: %v\n%s", mode, err, rep)
+		}
+		if rep.Replans != 1 {
+			t.Fatalf("%s replan: %d replans, want 1\n%s", mode, rep.Replans, rep)
+		}
+		if tr := rep.Task("a"); tr.Attempts != 2 || tr.Failures != 0 {
+			t.Fatalf("%s replan: never-failed task a history = %+v, want attempts 2, failures 0\n%s", mode, tr, rep)
+		}
+		if tr := rep.Task("b"); tr.Attempts != 2 || tr.Failures != 1 {
+			t.Fatalf("%s replan: task b history = %+v, want attempts 2, failures 1\n%s", mode, tr, rep)
 		}
 	}
 }

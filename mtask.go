@@ -481,14 +481,10 @@ func WithWavefront() ExecOption { return runtime.WithWavefront() }
 // under WithWavefront.
 var ErrGlobalInWavefront = runtime.ErrGlobalInWavefront
 
-// WithoutTimeline drops O(tasks) state from the Report so million-task
-// executions stay lean: successful attempts fold into a busy core-time
-// accumulator instead of retained TaskSpans, and per-task histories are
-// kept only for tasks that needed fault handling. One caveat: a task
-// that never fails but re-executes after a degrade-and-replan reports
-// attempt number 1 on the re-execution too (the full report would say 2),
-// so fault-injection scripts keyed on attempt numbers across a replan
-// need the full report.
+// WithoutTimeline drops the per-task span store from the Report so
+// million-task executions stay lean: successful attempts fold into a
+// busy core-time accumulator instead of retained TaskSpans. Per-task
+// attempt histories stay exact.
 func WithoutTimeline() ExecOption { return runtime.WithoutTimeline() }
 
 // Resizer lets the caller swap in a schedule of a different core count at
